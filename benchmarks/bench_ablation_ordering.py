@@ -1,28 +1,24 @@
-"""Decision-ordering and ESTG ablations.
+"""Decision-ordering ablation.
 
-DESIGN.md calls out two search heuristics of Section 3.2 for ablation:
-
-1. ordering decision candidates by legal-assignment bias (and trying the
-   complement of the bias first when proving) versus plain fanout ordering,
-2. learning illegal states in the extended state transition graph (ESTG).
-
-Both are measured on the alarm-clock p9 assertion (the hardest proof of
-Table 2) and on an arbiter witness search, reporting decisions/backtracks.
+Section 3.2's search heuristic -- ordering decision candidates by
+legal-assignment bias (and trying the complement of the bias first when
+proving) versus plain fanout ordering -- is measured on the alarm-clock p9
+assertion (the hardest proof of Table 2) and on an arbiter witness search,
+reporting decisions/backtracks.
 """
 
 import pytest
 import reporting
 
 from repro.checker import AssertionChecker, CheckerOptions
-from repro.checker.result import CheckStatus
 from repro.circuits import build_case
 
 _ROWS = []
 
 
-def _run(case_id, use_bias, use_estg):
+def _run(case_id, use_bias):
     case = build_case(case_id)
-    options = CheckerOptions(max_frames=case.max_frames, use_bias=use_bias, use_estg=use_estg)
+    options = CheckerOptions(max_frames=case.max_frames, use_bias=use_bias)
     checker = AssertionChecker(
         case.circuit,
         environment=case.environment,
@@ -37,32 +33,13 @@ def _run(case_id, use_bias, use_estg):
 @pytest.mark.parametrize("case_id", ["p9", "p6"])
 def test_bias_ordering_ablation(benchmark, case_id, use_bias):
     case, result = benchmark.pedantic(
-        _run, args=(case_id, use_bias, False), rounds=1, iterations=1
+        _run, args=(case_id, use_bias), rounds=1, iterations=1
     )
     assert result.status is case.expected_status
     _ROWS.append(
         (
             case_id,
             "bias ordering" if use_bias else "fanout ordering",
-            result.statistics.decisions,
-            result.statistics.backtracks,
-            result.statistics.cpu_seconds,
-        )
-    )
-
-
-@pytest.mark.parametrize("use_estg", [False, True])
-def test_estg_ablation(benchmark, use_estg):
-    """ESTG learning on the hardest proof (heuristic accelerator; the verdict
-    is unchanged because the trace validator rejects spurious successes)."""
-    case, result = benchmark.pedantic(
-        _run, args=("p9", True, use_estg), rounds=1, iterations=1
-    )
-    assert result.status is CheckStatus.HOLDS
-    _ROWS.append(
-        (
-            "p9",
-            "ESTG on" if use_estg else "ESTG off",
             result.statistics.decisions,
             result.statistics.backtracks,
             result.statistics.cpu_seconds,
@@ -86,5 +63,5 @@ def test_ablation_report(benchmark):
         return "\n".join(lines)
 
     table = benchmark.pedantic(_format, rounds=1, iterations=1)
-    reporting.register_table("[Ablation] decision ordering and ESTG learning", table)
-    print("\n[Ablation] decision ordering and ESTG learning\n" + table)
+    reporting.register_table("[Ablation] decision ordering", table)
+    print("\n[Ablation] decision ordering\n" + table)

@@ -313,11 +313,6 @@ class CheckRequest:
     learning: bool = True
     kb_path: Optional[str] = None
     fsm_guidance: bool = False
-    #: run implication on the compiled check kernel (``--no-compiled``
-    #: falls back to the interpreted soundness oracle; bit-identical).
-    compiled: bool = True
-    #: rank decision candidates by learned-cube fire counts (ablation).
-    cube_hit_ordering: bool = False
     # -- batch shape --------------------------------------------------
     jobs: int = 1
     compare: bool = False
@@ -405,8 +400,6 @@ class CheckRequest:
                 "learning": self.learning,
                 "kb_path": self.kb_path,
                 "fsm_guidance": self.fsm_guidance,
-                "compiled": self.compiled,
-                "cube_hit_ordering": self.cube_hit_ordering,
             },
             "batch": {"jobs": self.jobs, "compare": self.compare},
         }
@@ -472,8 +465,6 @@ class CheckRequest:
             learning=bool(search.get("learning", True)),
             kb_path=_opt_str(search.get("kb_path")),
             fsm_guidance=bool(search.get("fsm_guidance", False)),
-            compiled=bool(search.get("compiled", True)),
-            cube_hit_ordering=bool(search.get("cube_hit_ordering", False)),
             jobs=int(batch.get("jobs", 1)),
             compare=bool(batch.get("compare", False)),
         )

@@ -141,9 +141,9 @@ class UnrolledModel:
         #: :class:`~repro.checker.incremental.UnrolledModelCache`, so facts
         #: learned at one bound prune every later bound and every property
         #: sharing the (circuit, initial state, environment) cache key.  The
-        #: heuristic ESTG stores stay disabled here; the checker keeps its
-        #: own graph for the ``use_estg`` ablation path.
-        self.estg = ExtendedStateTransitionGraph(enabled=False)
+        #: structural store stays empty here; FSM guidance lives in the
+        #: checker's own graph.
+        self.estg = ExtendedStateTransitionGraph()
 
         #: persistent knowledge base plumbing (set by
         #: :meth:`repro.kb.store.KnowledgeBase.attach`): a zero-argument

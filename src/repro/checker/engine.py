@@ -71,23 +71,17 @@ class CheckerOptions:
     #: int-indexed watcher lists, a compiled rule table) instead of the
     #: per-step dict-dispatch interpreter.  Bit-identical by contract --
     #: verdicts, counterexamples, learned cubes and every counter match the
-    #: interpreted engine, which stays available (``--no-compiled``) as the
-    #: soundness oracle.
+    #: interpreted engine, which stays available (``compiled=False``) as the
+    #: bit-identity oracle for tests and benchmarks; it is not a request
+    #: field.
     compiled: bool = True
     #: use the legal-assignment-bias decision ordering (ablation switch).
     use_bias: bool = True
-    #: re-rank decision candidates by the fire counts of the learned cubes
-    #: naming them (hot conflict drivers first).  A deterministic ordering
-    #: heuristic, off by default; changes decision order but never verdicts.
-    cube_hit_ordering: bool = False
-    #: learn illegal states in an extended state transition graph.  This is a
-    #: heuristic accelerator; it may prune witness branches, so it is off by
-    #: default and mainly used by the ablation benchmarks.
-    use_estg: bool = False
-    #: extract local FSMs up front and seed the ESTG with their locally
-    #: unreachable states (the paper's Section 6 extension).  Implies ESTG use
-    #: for the structural store; sound because locally unreachable states can
-    #: never occur in any execution from the default initial state.
+    #: extract local FSMs up front and seed the ESTG's structural store with
+    #: their locally unreachable states (the paper's Section 6 extension).
+    #: Sound: locally unreachable states can never occur in any execution
+    #: from the check's initial state, so pruning them never changes a
+    #: verdict.
     use_local_fsm_guidance: bool = False
     #: register width limit for the local FSM extraction.
     fsm_guidance_max_width: int = 4
@@ -116,8 +110,6 @@ class CheckerOptions:
             learning=request.learning,
             kb_path=request.kb_path,
             use_local_fsm_guidance=request.fsm_guidance,
-            compiled=request.compiled,
-            cube_hit_ordering=request.cube_hit_ordering,
         )
         if request.max_frames is not None:
             options.max_frames = request.max_frames
@@ -161,8 +153,8 @@ class AssertionChecker:
             circuit_snapshot(circuit)
             self._kb = open_knowledge_base(self.options.kb_path)
         self.compiler = PropertyCompiler(circuit)
-        use_estg = self.options.use_estg or self.options.use_local_fsm_guidance
-        self.estg = ExtendedStateTransitionGraph(enabled=use_estg)
+        #: the structural store FSM guidance prunes with (None when off).
+        self.estg: Optional[ExtendedStateTransitionGraph] = None
         self._assumption_nets = [
             self.compiler.compile_condition(expr, name="assume")
             for expr in self.environment.assumptions
@@ -186,6 +178,7 @@ class AssertionChecker:
                 seed=self.options.probability_sample_seed,
             )
         if self.options.use_local_fsm_guidance:
+            self.estg = ExtendedStateTransitionGraph()
             self._seed_fsm_guidance()
 
     # ------------------------------------------------------------------
@@ -366,7 +359,6 @@ class AssertionChecker:
         return (
             (property_search_digest(compiled.prop.expr), compiled.goal_value),
             options.use_bias,
-            options.cube_hit_ordering,
             options.probability_sample_vectors,
             options.probability_sample_seed,
             (limits.max_decisions, limits.max_backtracks, limits.max_depth,
@@ -421,10 +413,11 @@ class AssertionChecker:
             model.compile_seconds,
         )
         learning_store = model.estg if self._learning_enabled else None
-        # The heuristic ESTG stores (use_estg / FSM guidance) may prune
-        # unsoundly by design; verdicts reached under them must never enter
-        # the shared proven-FAIL memo.
-        memo_safe = learning_store is not None and not self.estg.enabled
+        # The memo key does not record FSM guidance, so guided searches
+        # stay out of the shared proven-FAIL memo.
+        memo_safe = (
+            learning_store is not None and not self.options.use_local_fsm_guidance
+        )
         search_fp = self._search_fingerprint(compiled)
         if memo_safe and learning_store.is_proven_fail(search_fp, target_frame):
             statistics.targets_skipped += 1
@@ -651,10 +644,9 @@ class AssertionChecker:
             prove_mode=isinstance(compiled.prop, Assertion),
             use_bias=self.options.use_bias,
             limits=self.options.limits,
-            estg=self.estg if self.estg.enabled else None,
+            estg=self.estg,
             sampled_probabilities=self._sampled_probabilities,
             learning=learning,
-            cube_hit_ordering=self.options.cube_hit_ordering,
         )
         return justifier.run()
 

@@ -171,8 +171,6 @@ def _request_from_args(args: argparse.Namespace) -> api.CheckRequest:
             seed=args.seed,
             incremental=not args.no_incremental,
             learning=not args.no_learning,
-            compiled=not args.no_compiled,
-            cube_hit_ordering=args.cube_hit_ordering,
             kb_path=_kb_path(args),
             fsm_guidance=args.fsm_guidance,
             jobs=args.jobs,
@@ -781,7 +779,8 @@ def _add_check_arguments(parser: argparse.ArgumentParser,
     parser.add_argument(
         "--fsm-guidance",
         action="store_true",
-        help="seed the search with local FSM reachability facts",
+        help="prune the search with local FSM reachability facts (sound: "
+        "only FSM-unreachable states are pruned)",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parser.add_argument(
@@ -836,20 +835,6 @@ def _add_check_arguments(parser: argparse.ArgumentParser,
         help="disable cross-bound search learning (persistent illegal-state "
         "cubes and proven-FAIL target memoisation on the cached unrolled "
         "models); verdicts are unchanged, only speed (debug/ablation)",
-    )
-    parser.add_argument(
-        "--no-compiled",
-        action="store_true",
-        help="run the interpreted implication engine instead of the "
-        "compiled slot-indexed kernel; verdicts, traces and statistics are "
-        "bit-identical, only speed differs (debug/ablation)",
-    )
-    parser.add_argument(
-        "--cube-hit-ordering",
-        action="store_true",
-        help="rank decision candidates by accumulated learned-cube hit "
-        "counts (experimental heuristic; changes decision order and hence "
-        "search statistics, never verdicts)",
     )
     parser.add_argument(
         "--kb",

@@ -130,21 +130,10 @@ def _convert(node: ast.AST) -> Expression:
 
 
 def _apply_binop(left: Expression, symbol: str, right: Union[Expression, int]) -> Expression:
-    builders = {
-        "==": lambda: left == right,
-        "!=": lambda: left != right,
-        "<": lambda: left < right,
-        "<=": lambda: left <= right,
-        ">": lambda: left > right,
-        ">=": lambda: left >= right,
-        "+": lambda: left + right,
-        "-": lambda: left - right,
-        "*": lambda: left * right,
-        "&": lambda: left & right,
-        "|": lambda: left | right,
-        "^": lambda: left ^ right,
-    }
-    return builders[symbol]()
+    # Built directly rather than through the Expression operator overloads:
+    # those map ``&``/``|`` to the logical And/Or, but in property text they
+    # are bit-wise, like ``^``.
+    return BinOp(symbol, left, right if isinstance(right, Expression) else Const(right))
 
 
 def _convert_call(node: ast.Call) -> Expression:

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro import api
 from repro.analysis import extract_local_fsm, extract_local_fsms, seed_estg_from_fsms
 from repro.atpg import ExtendedStateTransitionGraph, Justifier, UnrolledModel
 from repro.bitvector import BV3
 from repro.checker import AssertionChecker, CheckerOptions, CheckStatus
 from repro.netlist import Circuit
 from repro.properties import Assertion, Signal, Witness
+
+from test_cross_engine import build_random_circuit
 
 
 def build_wrapping_counter(limit=5, width=3):
@@ -172,3 +175,24 @@ def test_checker_verdicts_unchanged_with_fsm_guidance():
     assert plain.check(prop_witness).status is CheckStatus.WITNESS_FOUND
     assert guided.check(prop_witness).status is CheckStatus.WITNESS_FOUND
     assert guided.estg.stats()["structurally_illegal"] >= 1
+
+
+def test_fsm_guidance_keeps_later_witnesses_reachable():
+    """Facts from an earlier property's search must not prune a later one.
+
+    On this design ``state == 6`` is reachable within 6 frames.  Checked
+    after ``state == 1`` on the same guided request it must still be found,
+    exactly as it is unguided or on its own.
+    """
+
+    def statuses(properties, **knobs):
+        request = api.build_request(
+            build_random_circuit(17), properties, max_frames=6, **knobs
+        )
+        return {result.name: result.status for result in api.check(request).results}
+
+    w1 = Witness("w1", Signal("state") == 1)
+    w6 = Witness("w6", Signal("state") == 6)
+    assert statuses([w6], fsm_guidance=True)["w6"] == "witness_found"
+    assert statuses([w1, w6])["w6"] == "witness_found"
+    assert statuses([w1, w6], fsm_guidance=True)["w6"] == "witness_found"

@@ -96,6 +96,20 @@ class TestRequestRoundTrip:
         payload["batch"]["future_shard"] = 4
         assert api.CheckRequest.from_dict(payload) == full_request()
 
+    def test_retired_search_fields_ignored(self):
+        """Payloads from builds whose request still carried the engine
+        flavour and the cube-hit ordering switch parse; the fields are
+        dropped, so the compiled default kernel answers either way."""
+        payload = full_request().to_dict()
+        payload["search"]["compiled"] = False
+        payload["search"]["cube_hit_ordering"] = True
+        request = api.CheckRequest.from_dict(payload)
+        assert request == full_request()
+        assert set(request.to_dict()["search"]) == {
+            "incremental", "learning", "kb_path", "fsm_guidance",
+        }
+        assert CheckerOptions.from_request(request).compiled is True
+
     def test_newer_minor_schema_accepted(self):
         payload = full_request().to_dict()
         payload["schema"] = "repro-check-request/v1.7"

@@ -1,10 +1,12 @@
 """Tests for the command-line interface (``python -m repro``)."""
 
 import json
+import os
+import re
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 COUNTER_VERILOG = """
 module counter(input clk, input rst, input en, output [3:0] count);
@@ -226,3 +228,35 @@ def test_check_rejects_bad_sim_width(counter_file):
                 "0",
             ]
         )
+
+
+# ----------------------------------------------------------------------
+# Documentation drift: the README flag table names only live flags
+# ----------------------------------------------------------------------
+def _readme_check_flags():
+    """(flag, metavar) pairs from README's checker flag table."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    section = text.split("### Checker ablation / persistence flags", 1)[1]
+    section = section.split("\n#", 1)[0]
+    cells = re.findall(r"^\| `(--[^`]+)` \|", section, flags=re.MULTILINE)
+    return [cell.partition(" ")[::2] for cell in cells]
+
+
+def _parse_check(*extra):
+    return build_parser().parse_args(["check", "design.v", "--assert", "p=x", *extra])
+
+
+def test_readme_check_flag_table_matches_parser():
+    flags = _readme_check_flags()
+    assert len(flags) >= 4
+    for flag, metavar in flags:
+        _parse_check(flag, *(["value"] if metavar else []))
+
+
+@pytest.mark.parametrize("flag", ["--no-compiled", "--cube-hit-ordering"])
+def test_retired_check_flags_no_longer_parse(flag):
+    assert flag not in [flag for flag, _ in _readme_check_flags()]
+    with pytest.raises(SystemExit):
+        _parse_check(flag)

@@ -116,3 +116,24 @@ def test_witness_searches_agree(seed):
     ).check(prop)
     bdd = BddSymbolicChecker(build_random_circuit(seed)).check(prop)
     assert _normalise(word.status) == _normalise(bdd.status)
+
+
+@pytest.mark.parametrize("seed", [3, 15, 17, 38])
+def test_shared_guided_checker_matches_fresh_checkers(seed):
+    """One FSM-guided checker reused across properties gives every property
+    the verdict a fresh default checker gives it: no pruning fact learned
+    for one property may leak into another."""
+    bound = 6
+    shared = AssertionChecker(
+        build_random_circuit(seed),
+        options=CheckerOptions(max_frames=bound, use_local_fsm_guidance=True),
+    )
+    for target in range(8):
+        for prop in (
+            Witness("reach_%d" % target, Signal("state") == target),
+            Assertion("never_%d" % target, Signal("state") != target),
+        ):
+            fresh = AssertionChecker(
+                build_random_circuit(seed), options=CheckerOptions(max_frames=bound)
+            ).check(prop)
+            assert shared.check(prop).status is fresh.status, prop.name

@@ -182,15 +182,17 @@ def test_fail_memo_is_keyed_by_search_configuration():
     assert other.statistics.targets_skipped == 0
 
 
-def test_fail_memo_not_written_under_heuristic_estg():
-    """use_estg may prune unsoundly; its verdicts must stay out of the
-    shared proven-FAIL memo."""
+def test_fail_memo_not_written_under_fsm_guidance():
+    """The memo key does not record FSM guidance, so guided verdicts must
+    stay out of the shared proven-FAIL memo."""
     case = build_case("p2")
     cache = UnrolledModelCache()
     AssertionChecker(
         case.circuit, environment=case.environment,
         initial_state=case.initial_state,
-        options=CheckerOptions(max_frames=case.max_frames, use_estg=True),
+        options=CheckerOptions(
+            max_frames=case.max_frames, use_local_fsm_guidance=True
+        ),
         model_cache=cache,
     ).check(case.prop)
     model, _ = cache.acquire(case.circuit, case.initial_state, case.environment)
@@ -308,32 +310,6 @@ def test_frame_taint_covers_register_boundary_facts():
     # Purely combinational constant cones stay shift-invariant.
     const_net = circuit.net("r1").driver.d
     assert (const_net, 2) not in model.init_tainted
-
-
-def test_rule_cache_lru_policy_moves_hits_to_the_back(monkeypatch):
-    """The experiment switch stays functional: with LRU on, a hit entry
-    outlives newer-but-colder entries at the eviction limit."""
-    monkeypatch.setattr(ImplicationEngine, "rule_cache_lru", True)
-    engine = ImplicationEngine()
-    engine._rule_cache_limit = 2
-    node = ImplicationNode("n", ["a", "b"], lambda cubes: list(cubes))
-    engine.add_node(node, widths=[4, 4])
-
-    def evaluate(value):
-        engine.assignment._values.pop("a", None)
-        engine.assignment.assign("a", BV3.from_int(4, value))
-        engine.enqueue([node])
-        engine.propagate()
-
-    evaluate(0)
-    evaluate(1)
-    evaluate(0)  # hit: moves the value-0 entry to the back
-    assert engine.rule_cache_hits == 1
-    evaluate(2)  # evicts value 1, not the recently hit value 0
-    cache = engine._rule_cache[id(node)]
-    first_pins = {key[0] for key in cache}
-    assert BV3.from_int(4, 0) in first_pins
-    assert BV3.from_int(4, 1) not in first_pins
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.checker import AssertionChecker, CheckerOptions, CheckStatus
 from repro.netlist import Circuit
 from repro.properties import (
     And,
+    Assertion,
     AtMostOneHot,
     Delayed,
     Implies,
@@ -33,6 +35,14 @@ def test_arithmetic_and_bitwise_operators():
     expr = parse_expression("(a + b) * 2 == (c & mask) | flag")
     assert isinstance(expr, BinOp)
     assert sorted(expr.signals()) == ["a", "b", "c", "flag", "mask"]
+
+
+def test_ampersand_and_bar_are_bitwise():
+    for symbol in ("&", "|"):
+        expr = parse_expression("(acc %s 1) == 0" % symbol)
+        assert isinstance(expr.lhs, BinOp)
+        assert expr.lhs.op == symbol
+        assert isinstance(expr.lhs.rhs, Const)
 
 
 def test_boolean_keywords_map_to_and_or_not():
@@ -102,3 +112,19 @@ def test_parsed_expression_compiles_and_evaluates():
     assert simulator.step({"a": 5, "b": 6})[monitor.name] == 1
     # 9 + 5 = 14 > 12 violates the second conjunct.
     assert simulator.step({"a": 9, "b": 5})[monitor.name] == 0
+
+
+def test_bitwise_and_on_multi_bit_signal_holds():
+    """An accumulator stepping by 2 from 0 is always even.  A logical
+    ``and`` would read ``acc & 1`` as ``acc != 0`` and fail once acc > 0."""
+    circuit = Circuit("even_stride")
+    step = circuit.input("step", 1)
+    acc = circuit.state("acc", 4)
+    circuit.dff_into(
+        acc, circuit.mux(step, acc, circuit.add(acc, circuit.const(2, 4))),
+        init_value=0,
+    )
+    circuit.output(acc)
+    prop = Assertion("even", parse_expression("(acc & 1) == 0"))
+    result = AssertionChecker(circuit, options=CheckerOptions(max_frames=6)).check(prop)
+    assert result.status is CheckStatus.HOLDS
