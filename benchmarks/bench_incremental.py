@@ -53,9 +53,7 @@ def _run_case(case_id, bound, incremental):
         case.circuit,
         environment=case.environment,
         initial_state=case.initial_state,
-        options=CheckerOptions(
-            max_frames=bound, incremental=incremental, trace_memory=False
-        ),
+        options=CheckerOptions(max_frames=bound, incremental=incremental),
         model_cache=UnrolledModelCache(),
     )
     return checker.check(case.prop)
@@ -100,9 +98,7 @@ def _batch_properties(ports):
 def _run_batch(incremental, bound=8):
     ports = build_token_ring()
     cache = UnrolledModelCache()
-    options = CheckerOptions(
-        max_frames=bound, incremental=incremental, trace_memory=False
-    )
+    options = CheckerOptions(max_frames=bound, incremental=incremental)
     # One checker per batch, as the batch runner does per (circuit, env) job
     # group; the incremental path shares its unrolled skeleton across all
     # four properties through the model cache.

@@ -70,7 +70,6 @@ def _search_checker(case_id, bound, compiled):
             max_frames=bound,
             compiled=compiled,
             learning=False,
-            trace_memory=False,
         ),
         model_cache=UnrolledModelCache(),
     )

@@ -13,6 +13,10 @@ nodes).
 The expected shape: the BDD engine's node count / memory blows up (or hits
 its node budget and aborts) as the ring grows, while the word-level engine
 and the SAT BMC baseline grow smoothly.
+
+Every row runs under allocation tracing (:func:`repro.checker.memory_tracing`)
+so the memory column is measured; the time column therefore includes the
+tracing overhead, for all three engines alike.
 """
 
 import pytest
@@ -20,7 +24,7 @@ import reporting
 
 from repro.baselines.bdd_checker import BddSymbolicChecker
 from repro.baselines.sat_checker import SATBoundedChecker
-from repro.checker import AssertionChecker, CheckerOptions
+from repro.checker import AssertionChecker, CheckerOptions, memory_tracing
 from repro.checker.result import CheckStatus
 from repro.circuits import build_token_ring
 from repro.properties import Assertion, OneHot, Signal
@@ -31,6 +35,12 @@ SIZES = [3, 4, 6, 8, 10, 12]
 MAX_FRAMES = 2
 #: BDD node budget; exceeding it is reported as the "memory explosion" row.
 BDD_NODE_LIMIT = 150_000
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _traced_allocations():
+    with memory_tracing():
+        yield
 
 
 def _one_hot_property(ports):

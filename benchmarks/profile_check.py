@@ -49,7 +49,6 @@ def main(argv=None) -> int:
             max_frames=args.bound,
             incremental=not args.no_incremental,
             compiled=not args.no_compiled,
-            trace_memory=False,
         ),
         model_cache=UnrolledModelCache(),
     )

@@ -36,75 +36,41 @@ Quickstart::
 
     request = build_request(c, Assertion("no_overflow", Signal("total") >= Signal("a")))
     report = check(request)
+
+Exports are lazy (PEP 562): ``import repro`` loads nothing else until a
+name is first read, so thin clients such as ``repro submit`` do not pay for
+the checking engine.
 """
 
-from repro import api
-from repro.api import (
-    CheckReport,
-    CheckRequest,
-    CircuitRef,
-    PropertySpec,
-    PropertyVerdict,
-    RequestError,
-    build_request,
-    check,
-    check_batch,
-)
-from repro.bitvector import BV3, ValueRange
-from repro.netlist import Circuit, NetKind
-from repro.properties import (
-    Assertion,
-    Witness,
-    Signal,
-    Const,
-    And,
-    Or,
-    Not,
-    Implies,
-    Delayed,
-    OneHot,
-    AtMostOneHot,
-    Environment,
-)
-from repro.checker import AssertionChecker, CheckerOptions, CheckResult, CheckStatus
-from repro.sim import BitParallelSim, compile_circuit
-from repro.simulation import Simulator
+from repro._lazy import lazy_exports
 
 __version__ = "0.3.0"
 
-__all__ = [
-    "api",
-    "CheckReport",
-    "CheckRequest",
-    "CircuitRef",
-    "PropertySpec",
-    "PropertyVerdict",
-    "RequestError",
-    "build_request",
-    "check",
-    "check_batch",
-    "BV3",
-    "ValueRange",
-    "Circuit",
-    "NetKind",
-    "Assertion",
-    "Witness",
-    "Signal",
-    "Const",
-    "And",
-    "Or",
-    "Not",
-    "Implies",
-    "Delayed",
-    "OneHot",
-    "AtMostOneHot",
-    "Environment",
-    "AssertionChecker",
-    "CheckerOptions",
-    "CheckResult",
-    "CheckStatus",
-    "Simulator",
-    "BitParallelSim",
-    "compile_circuit",
-    "__version__",
-]
+_API_NAMES = (
+    "CheckReport", "CheckRequest", "CircuitRef", "PropertySpec",
+    "PropertyVerdict", "RequestError", "build_request", "check", "check_batch",
+)
+_PROPERTY_NAMES = (
+    "Assertion", "Witness", "Signal", "Const", "And", "Or", "Not", "Implies",
+    "Delayed", "OneHot", "AtMostOneHot", "Environment",
+)
+_EXPORTS = {
+    "api": "repro.api",
+    **{name: "repro.api" for name in _API_NAMES},
+    "BV3": "repro.bitvector",
+    "ValueRange": "repro.bitvector",
+    "Circuit": "repro.netlist",
+    "NetKind": "repro.netlist",
+    **{name: "repro.properties" for name in _PROPERTY_NAMES},
+    "AssertionChecker": "repro.checker",
+    "CheckerOptions": "repro.checker",
+    "CheckResult": "repro.checker",
+    "CheckStatus": "repro.checker",
+    "Simulator": "repro.simulation",
+    "BitParallelSim": "repro.sim",
+    "compile_circuit": "repro.sim",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = [*_EXPORTS, "__version__"]

@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, MutableMapping, Optional, Sequence, Tuple, Union
 
-from repro.checker.engine import AssertionChecker, CheckerOptions
 from repro.checker.report import counterexample_to_dict, statistics_to_dict
 from repro.checker.result import CheckResult, CheckStatus
 from repro.netlist.circuit import Circuit
@@ -923,6 +922,8 @@ def _run_single(
     specs: Sequence[PropertySpec],
 ) -> RequestOutcome:
     """The classic deterministic path: one checker, properties in order."""
+    from repro.checker.engine import AssertionChecker, CheckerOptions
+
     started = time.perf_counter()
     checker = AssertionChecker(
         circuit,

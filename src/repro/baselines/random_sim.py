@@ -53,8 +53,6 @@ class RandomSimulationOptions:
     #: maximum retries per cycle to find an input vector satisfying the
     #: environment constraints (rejection sampling, interpreted backend only).
     environment_retries: int = 32
-    #: measure peak heap usage with tracemalloc.
-    trace_memory: bool = True
     #: simulation backend: ``bitparallel`` (compiled kernel, default) or
     #: ``interpreted`` (the reference oracle).
     backend: str = "bitparallel"
@@ -116,7 +114,7 @@ class RandomSimulationChecker:
         statistics = CheckStatistics()
         self.vectors_simulated = 0
 
-        with ResourceMeter(trace_memory=self.options.trace_memory) as meter:
+        with ResourceMeter() as meter:
             if self.options.backend == "bitparallel":
                 counterexample = self._check_bitparallel(
                     compiled.monitor.name, goal_value, rng, runs
@@ -132,6 +130,7 @@ class RandomSimulationChecker:
 
         statistics.cpu_seconds = meter.elapsed_seconds
         statistics.peak_memory_mb = meter.peak_memory_mb
+        statistics.memory_measured = meter.memory_measured
         statistics.frames_explored = self.vectors_simulated
 
         if counterexample is not None and not counterexample.validated:

@@ -91,8 +91,6 @@ class CheckerOptions:
     probability_sample_vectors: int = 0
     #: RNG seed for the probability mass sampling.
     probability_sample_seed: int = 2000
-    #: measure peak heap usage with tracemalloc (small overhead).
-    trace_memory: bool = True
     #: resource limits of the branch-and-bound search.
     limits: JustifierLimits = field(default_factory=JustifierLimits)
 
@@ -235,7 +233,7 @@ class AssertionChecker:
         aborted = False
         counterexample: Optional[Counterexample] = None
 
-        with ResourceMeter(trace_memory=self.options.trace_memory) as meter:
+        with ResourceMeter() as meter:
             try:
                 if self.options.incremental:
                     self._incremental_model, reused = self.model_cache.acquire(
@@ -307,6 +305,7 @@ class AssertionChecker:
 
         statistics.cpu_seconds = meter.elapsed_seconds
         statistics.peak_memory_mb = meter.peak_memory_mb
+        statistics.memory_measured = meter.memory_measured
 
         status = self._verdict(prop, counterexample, aborted)
         return CheckResult(

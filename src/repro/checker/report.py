@@ -10,6 +10,11 @@ harness all share one formatter:
   counterexample / witness trace when one exists;
 * :func:`format_results_table` -- the Table 2 layout (verdict, CPU seconds,
   peak memory, search statistics) for a batch of results.
+
+Peak memory is only known when allocations were traced (see
+:class:`~repro.checker.stats.ResourceMeter`); the text formats then print
+``not measured`` / ``-`` instead of a misleading ``0.00``, while the JSON
+``peak_memory_mb`` key stays numeric (``0.0``).
 """
 
 from __future__ import annotations
@@ -86,6 +91,13 @@ def results_to_json(results: Iterable[CheckResult], indent: int = 2) -> str:
     return json.dumps([result_to_dict(result) for result in results], indent=indent)
 
 
+def _memory_text(statistics, measured: str, unmeasured: str) -> str:
+    """Peak memory for text output; ``unmeasured`` when nothing traced it."""
+    if not statistics.memory_measured:
+        return unmeasured
+    return measured % (statistics.peak_memory_mb,)
+
+
 def format_result(result: CheckResult, include_trace: bool = True) -> str:
     """A readable multi-line report for one property."""
     statistics = result.statistics
@@ -98,7 +110,8 @@ def format_result(result: CheckResult, include_trace: bool = True) -> str:
         ),
         "  frames explored : %d" % (result.frames_explored,),
         "  cpu time        : %.3f s" % (statistics.cpu_seconds,),
-        "  peak memory     : %.2f MB" % (statistics.peak_memory_mb,),
+        "  peak memory     : %s"
+        % (_memory_text(statistics, "%.2f MB", "not measured"),),
         "  decisions       : %d (%d backtracks, %d conflicts)"
         % (statistics.decisions, statistics.backtracks, statistics.conflicts),
         "  implications    : %d (%d arithmetic solver calls)"
@@ -139,11 +152,11 @@ def format_results_table(
     lines = [header, "-" * len(header)]
     for name, result in zip(names, results):
         statistics = result.statistics
-        row = "%-22s %-18s %10.3f %10.2f %10d %10d" % (
+        row = "%-22s %-18s %10.3f %10s %10d %10d" % (
             name,
             result.status.value,
             statistics.cpu_seconds,
-            statistics.peak_memory_mb,
+            _memory_text(statistics, "%.2f", "-"),
             statistics.decisions,
             statistics.backtracks,
         )

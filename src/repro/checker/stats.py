@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import time
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 
 @dataclass
@@ -13,7 +14,10 @@ class CheckStatistics:
     """Aggregated statistics of one property check."""
 
     cpu_seconds: float = 0.0
+    #: peak heap growth of the check; only meaningful when
+    #: ``memory_measured`` (see :class:`ResourceMeter`), ``0.0`` otherwise.
     peak_memory_mb: float = 0.0
+    memory_measured: bool = False
     decisions: int = 0
     backtracks: int = 0
     conflicts: int = 0
@@ -86,34 +90,58 @@ class CheckStatistics:
 
 
 class ResourceMeter:
-    """Context manager measuring wall-clock time and peak Python heap usage.
+    """Context manager measuring wall-clock time and peak Python heap growth.
 
     The paper reports CPU seconds and megabytes on an UltraSparc-5; we report
     wall-clock seconds and the peak `tracemalloc` heap delta, which preserves
     the relative shape across properties (the claim under test is the *low
     memory growth* of the ATPG-based approach).
+
+    Memory is measured only when `tracemalloc` is already tracing as the
+    meter is entered (``python -X tracemalloc``, ``PYTHONTRACEMALLOC=1`` or
+    :func:`memory_tracing`); the meter never starts or stops tracing itself,
+    because the allocation hooks slow a check several times over.  Unmetered,
+    ``peak_memory_mb`` stays ``0.0`` and ``memory_measured`` is false.
     """
 
-    def __init__(self, trace_memory: bool = True):
-        self.trace_memory = trace_memory
+    def __init__(self):
         self.elapsed_seconds = 0.0
         self.peak_memory_mb = 0.0
+        self.memory_measured = False
         self._start: Optional[float] = None
-        self._started_tracing = False
+        self._traced_at_enter = 0
 
     def __enter__(self) -> "ResourceMeter":
-        self._start = time.perf_counter()
-        if self.trace_memory:
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._started_tracing = True
+        if tracemalloc.is_tracing():
+            self._traced_at_enter = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
+            self.memory_measured = True
+        self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.elapsed_seconds = time.perf_counter() - (self._start or 0.0)
-        if self.trace_memory and tracemalloc.is_tracing():
+        if self.memory_measured and tracemalloc.is_tracing():
             _, peak = tracemalloc.get_traced_memory()
-            self.peak_memory_mb = peak / (1024.0 * 1024.0)
-            if self._started_tracing:
-                tracemalloc.stop()
+            growth = max(0, peak - self._traced_at_enter)
+            self.peak_memory_mb = growth / (1024.0 * 1024.0)
+        else:
+            self.memory_measured = False
+
+
+@contextmanager
+def memory_tracing() -> Iterator[None]:
+    """Trace allocations for the block so :class:`ResourceMeter` measures memory.
+
+    Starts `tracemalloc` if it is off and stops it on exit only if it
+    started it here, so a caller's own trace is left running.  The Table 2
+    and scalability reports use this for their memory columns.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        yield
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -30,6 +30,7 @@ from repro.circuits.properties import (
     all_cases,
     circuit_statistics,
     extended_case_ids,
+    table2_result,
 )
 
 __all__ = [
@@ -49,4 +50,5 @@ __all__ = [
     "build_case",
     "circuit_statistics",
     "extended_case_ids",
+    "table2_result",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.checker.result import CheckStatus
+from repro.checker.result import CheckResult, CheckStatus
 from repro.circuits.addr_decoder import build_addr_decoder
 from repro.circuits.alarm_clock import build_alarm_clock
 from repro.circuits.arbiter import build_arbiter
@@ -366,6 +366,43 @@ def build_case(case_id: str) -> PreparedCase:
             % (case_id, ", ".join(_EXTENDED_CASE_BUILDERS))
         )
     return entry[4]()
+
+
+def table2_result(case_id: str) -> Tuple[PreparedCase, CheckResult]:
+    """Check one case at its paper bound and return its Table 2 row.
+
+    The case runs twice, each time on a freshly built circuit so neither
+    run reuses the other's unrolled models or learned facts: once unmetered
+    for the cpu column, and once under allocation tracing for the memory
+    column (tracing slows a check several times over, so one metered run
+    cannot honestly supply both).  The returned result is the unmetered one,
+    carrying the metered run's peak memory.  Raises ``RuntimeError`` if the
+    two runs disagree on the verdict.
+    """
+    from repro.checker.engine import AssertionChecker, CheckerOptions
+    from repro.checker.stats import memory_tracing
+
+    def run() -> Tuple[PreparedCase, CheckResult]:
+        case = build_case(case_id)
+        checker = AssertionChecker(
+            case.circuit,
+            environment=case.environment,
+            initial_state=case.initial_state,
+            options=CheckerOptions(max_frames=case.max_frames),
+        )
+        return case, checker.check(case.prop)
+
+    case, timed = run()
+    with memory_tracing():
+        _, metered = run()
+    if metered.status is not timed.status:
+        raise RuntimeError(
+            "%s: unmetered run says %s but metered run says %s"
+            % (case_id, timed.status.value, metered.status.value)
+        )
+    timed.statistics.peak_memory_mb = metered.statistics.peak_memory_mb
+    timed.statistics.memory_measured = metered.statistics.memory_measured
+    return case, timed
 
 
 def circuit_statistics() -> List[CircuitStats]:

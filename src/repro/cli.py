@@ -50,22 +50,17 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from repro import api
-from repro.analysis import analyze_structure, extract_local_fsms, recognize_modules
-from repro.checker import (
-    AssertionChecker,
-    CheckerOptions,
-    format_result,
-    format_results_table,
-    results_to_json,
-)
-from repro.hdl import compile_verilog
 from repro.netlist.circuit import Circuit
 from repro.properties.parse import PropertyParseError, parse_expression
-from repro.simulation.vcd import trace_to_vcd
+
+# The engine, the analyses and the HDL front end are imported by the commands
+# that use them, so `repro submit` starts without them.
 
 
 def _load_circuit(path: str, top: Optional[str] = None) -> Circuit:
     """Read and elaborate a Verilog file."""
+    from repro.hdl import compile_verilog
+
     with open(path) as stream:
         source = stream.read()
     circuit = compile_verilog(source, top=top)
@@ -184,6 +179,8 @@ def _request_from_args(args: argparse.Namespace) -> api.CheckRequest:
 # Commands
 # ----------------------------------------------------------------------
 def _command_stats(args: argparse.Namespace) -> int:
+    from repro.analysis import analyze_structure
+
     circuit = _load_circuit(args.design, top=args.top)
     stats = circuit.stats()
     print(
@@ -200,6 +197,8 @@ def _command_stats(args: argparse.Namespace) -> int:
 
 
 def _command_analyze(args: argparse.Namespace) -> int:
+    from repro.analysis import analyze_structure, extract_local_fsms, recognize_modules
+
     circuit = _load_circuit(args.design, top=args.top)
     print(analyze_structure(circuit).format())
     print()
@@ -218,6 +217,8 @@ def _dump_first_trace(path: str, circuit: Circuit, traces) -> None:
     ``traces`` yields ``(label, counterexample-or-None)`` pairs; the first
     pair with a trace wins.
     """
+    from repro.simulation.vcd import trace_to_vcd
+
     for label, counterexample in traces:
         if counterexample is not None:
             with open(path, "w") as stream:
@@ -243,6 +244,8 @@ def _command_check(args: argparse.Namespace) -> int:
 
 def _render_single_check(args: argparse.Namespace, outcome: api.RequestOutcome) -> int:
     """Classic output of the deterministic single-engine path."""
+    from repro.checker.report import format_result, format_results_table, results_to_json
+
     results = outcome.results
 
     if args.json:
@@ -432,21 +435,15 @@ def _command_table1(args: argparse.Namespace) -> int:
 
 
 def _command_table2(args: argparse.Namespace) -> int:
-    from repro.circuits import all_case_ids, build_case
+    from repro.checker.report import format_results_table
+    from repro.circuits import all_case_ids, table2_result
 
     case_ids = args.cases.split(",") if args.cases else all_case_ids()
     results = []
     labels = []
     for case_id in case_ids:
         case_id = case_id.strip()
-        case = build_case(case_id)
-        checker = AssertionChecker(
-            case.circuit,
-            environment=case.environment,
-            initial_state=case.initial_state,
-            options=CheckerOptions(max_frames=case.max_frames),
-        )
-        result = checker.check(case.prop)
+        case, result = table2_result(case_id)
         results.append(result)
         labels.append("%s (%s)" % (case_id, case.design))
         status = "ok" if result.status is case.expected_status else "UNEXPECTED"

@@ -10,70 +10,36 @@ knowledge-base handles instead of paying cold start each time.  See
 ``docs/service.md`` for the protocol schema and job lifecycle, and
 ``docs/resilience.md`` for the failure-handling contract (typed causes,
 retries, deadlines, quarantine, drain).
+
+Exports are lazy (PEP 562): ``repro submit`` imports the client and the
+protocol without loading the supervisor or the checking engine.
 """
 
-from repro.service.client import (
-    SOCKET_ENV,
-    JobFailure,
-    RetryPolicy,
-    ServiceClient,
-    ServiceConnectionLost,
-    ServiceError,
-    ServiceTimeout,
-    ServiceUnavailable,
-    check_in_process,
-    check_via_service,
-    default_socket_path,
-    service_available,
-)
-from repro.service.fleet import (
-    ENDPOINTS_ENV,
-    FLEET_FILE_ENV,
-    FleetEndpoint,
-    FleetError,
-    FleetRouter,
-    probe_endpoint,
-    rendezvous_order,
-    resolve_endpoints,
-    sync_stores,
-)
-from repro.service.protocol import (
-    FAILURE_CAUSES,
-    JOB_STATES,
-    PROTOCOL,
-    VERBS,
-    ProtocolError,
-)
-from repro.service.supervisor import ServiceOptions, Supervisor, serve
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ENDPOINTS_ENV",
-    "FAILURE_CAUSES",
-    "FLEET_FILE_ENV",
-    "FleetEndpoint",
-    "FleetError",
-    "FleetRouter",
-    "JOB_STATES",
-    "JobFailure",
-    "PROTOCOL",
-    "ProtocolError",
-    "RetryPolicy",
-    "SOCKET_ENV",
-    "ServiceClient",
-    "ServiceConnectionLost",
-    "ServiceError",
-    "ServiceOptions",
-    "ServiceTimeout",
-    "ServiceUnavailable",
-    "Supervisor",
-    "VERBS",
-    "check_in_process",
-    "check_via_service",
-    "default_socket_path",
-    "probe_endpoint",
-    "rendezvous_order",
-    "resolve_endpoints",
-    "serve",
-    "service_available",
+_CLIENT_NAMES = (
+    "SOCKET_ENV", "JobFailure", "RetryPolicy", "ServiceClient",
+    "ServiceConnectionLost", "ServiceError", "ServiceTimeout",
+    "ServiceUnavailable", "check_in_process", "check_via_service",
+    "default_socket_path", "service_available",
+)
+_FLEET_NAMES = (
+    "ENDPOINTS_ENV", "FLEET_FILE_ENV", "FleetEndpoint", "FleetError",
+    "FleetRouter", "probe_endpoint", "rendezvous_order", "resolve_endpoints",
     "sync_stores",
-]
+)
+_PROTOCOL_NAMES = (
+    "FAILURE_CAUSES", "JOB_STATES", "PROTOCOL", "VERBS", "ProtocolError",
+)
+_EXPORTS = {
+    **{name: "repro.service.client" for name in _CLIENT_NAMES},
+    **{name: "repro.service.fleet" for name in _FLEET_NAMES},
+    **{name: "repro.service.protocol" for name in _PROTOCOL_NAMES},
+    "ServiceOptions": "repro.service.supervisor",
+    "Supervisor": "repro.service.supervisor",
+    "serve": "repro.service.supervisor",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = sorted(_EXPORTS)

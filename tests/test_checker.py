@@ -1,5 +1,9 @@
 """Integration tests for the assertion checker (Fig. 1 flow)."""
 
+import re
+import tracemalloc
+
+import pytest
 
 from repro import (
     Assertion,
@@ -14,7 +18,10 @@ from repro import (
     Simulator,
     Witness,
 )
+from repro import api, cli
 from repro.atpg.justify import JustifierLimits
+from repro.checker import memory_tracing
+from repro.circuits import table2_result
 from repro.properties.spec import And
 
 
@@ -195,3 +202,85 @@ def test_max_frames_override_in_check_call():
     checker = AssertionChecker(build_counter(), options=CheckerOptions(max_frames=2))
     result = checker.check(Witness("reach_five", Signal("cnt") == 5), max_frames=8)
     assert result.status is CheckStatus.WITNESS_FOUND
+
+
+# ----------------------------------------------------------------------
+# Memory metering: only when the caller already traces allocations
+# ----------------------------------------------------------------------
+COUNTER_VERILOG = """
+module counter(input clk, input en, output [3:0] count);
+  reg [3:0] count;
+  always @(posedge clk) begin
+    if (en)
+      count <= count + 1;
+  end
+endmodule
+"""
+
+
+@pytest.fixture()
+def untraced():
+    if tracemalloc.is_tracing():
+        pytest.skip("the interpreter already traces allocations")
+    yield
+    assert not tracemalloc.is_tracing()
+
+
+def _refuse_tracing():
+    raise AssertionError("the default check path must not start tracemalloc")
+
+
+def test_default_check_paths_never_trace(untraced, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(tracemalloc, "start", _refuse_tracing)
+    report = api.check(api.build_request(api.CircuitRef.case("p1")))
+    assert report.results[0].status == "witness_found"
+    assert report.results[0].stats["peak_memory_mb"] == 0.0
+
+    design = tmp_path / "counter.v"
+    design.write_text(COUNTER_VERILOG)
+    assert cli.main(["check", str(design), "--assert", "small=count <= 15",
+                     "--max-frames", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "peak memory     : not measured" in out
+    assert re.search(r"small\s+holds\s+[\d.]+\s+-\s", out)
+
+
+def test_caller_started_tracing_is_measured_and_left_running():
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        report = api.check(api.build_request(api.CircuitRef.case("p5")))
+        assert report.results[0].status == "holds"
+        assert report.results[0].stats["peak_memory_mb"] > 0
+        assert tracemalloc.is_tracing()
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_untraced_check_reports_zero_and_stays_untraced(untraced):
+    checker = AssertionChecker(build_counter(), options=CheckerOptions(max_frames=4))
+    result = checker.check(Assertion("never_three", Signal("cnt") != 3))
+    assert result.statistics.peak_memory_mb == 0.0
+    assert not result.statistics.memory_measured
+    assert not tracemalloc.is_tracing()
+
+
+def test_memory_tracing_measures_and_restores_state(untraced):
+    checker = AssertionChecker(build_counter(), options=CheckerOptions(max_frames=4))
+    with memory_tracing():
+        with memory_tracing():  # nested: the outer trace is left running
+            pass
+        assert tracemalloc.is_tracing()
+        result = checker.check(Assertion("never_three", Signal("cnt") != 3))
+    assert result.statistics.memory_measured
+    assert result.statistics.peak_memory_mb > 0
+
+
+def test_table2_row_times_unmetered_and_measures_memory(untraced):
+    case, result = table2_result("p1")
+    assert result.status is case.expected_status
+    assert result.statistics.memory_measured
+    assert result.statistics.peak_memory_mb > 0
+    assert result.statistics.cpu_seconds > 0

@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -260,3 +262,20 @@ def test_retired_check_flags_no_longer_parse(flag):
     assert flag not in [flag for flag, _ in _readme_check_flags()]
     with pytest.raises(SystemExit):
         _parse_check(flag)
+
+
+def test_cli_and_client_import_without_the_engine():
+    # `repro submit` only needs the request/report types and the protocol;
+    # the package exports are lazy so it never loads the checker, the
+    # knowledge base or the daemon.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        "import sys\n"
+        "import repro.cli, repro.service.client\n"
+        "heavy = ('repro.checker.engine', 'repro.kb.store', 'repro.service.supervisor')\n"
+        "print(','.join(m for m in heavy if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == ""

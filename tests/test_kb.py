@@ -49,7 +49,6 @@ checker = AssertionChecker(
         incremental=True,
         learning=True,
         kb_path=None if kb_arg == "-" else kb_arg,
-        trace_memory=False,
     ),
     model_cache=UnrolledModelCache(),
 )
@@ -186,7 +185,6 @@ def _check_case_with_kb(kb_path):
         options=CheckerOptions(
             max_frames=case.max_frames,
             kb_path=kb_path,
-            trace_memory=False,
         ),
         model_cache=UnrolledModelCache(),
     )

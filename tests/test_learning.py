@@ -35,8 +35,7 @@ def _sweep(circuit, prop, bounds, learning, environment=None, initial_state=None
         environment=environment,
         initial_state=initial_state,
         options=CheckerOptions(
-            max_frames=max(bounds), incremental=True, learning=learning,
-            trace_memory=False,
+            max_frames=max(bounds), incremental=True, learning=learning
         ),
         model_cache=UnrolledModelCache(),
     )
@@ -113,7 +112,7 @@ def test_learning_shared_across_checker_instances():
     object starts from the first one's proven targets."""
     case = build_case("p2")
     cache = UnrolledModelCache()
-    options = CheckerOptions(max_frames=case.max_frames, trace_memory=False)
+    options = CheckerOptions(max_frames=case.max_frames)
     first = AssertionChecker(
         case.circuit, environment=case.environment,
         initial_state=case.initial_state, options=options, model_cache=cache,
@@ -470,7 +469,7 @@ def test_state_cube_recheck_promotes_and_lifts():
     cache = UnrolledModelCache()
     checker = AssertionChecker(
         circuit,
-        options=CheckerOptions(max_frames=3, trace_memory=False),
+        options=CheckerOptions(max_frames=3),
         model_cache=cache,
     )
     model, _ = cache.acquire(circuit)
@@ -670,7 +669,7 @@ def test_budget_exhausted_solver_results_never_learn(arithmetic_budget):
     checker = AssertionChecker(
         circuit,
         options=CheckerOptions(
-            max_frames=3, trace_memory=False,
+            max_frames=3,
             limits=JustifierLimits(arithmetic_budget=arithmetic_budget),
         ),
         model_cache=cache,
