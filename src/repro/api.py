@@ -10,9 +10,10 @@ JSON-round-trippable :class:`CheckRequest`:
 
 * the CLI (``repro check`` / ``repro submit``) parses its arguments into a
   single ``CheckRequest``;
-* :class:`CheckerOptions`, :class:`BatchOptions`, :class:`EngineBudget` and
-  :class:`AtpgEngine` expose ``from_request`` adapters, so the request is
-  the *only* place the knob list lives;
+* :class:`CheckerOptions`, :class:`BatchOptions` and :class:`EngineBudget`
+  expose ``from_request`` adapters, so the request is the *only* place the
+  knob list lives (ATPG settings are mapped once, by
+  ``CheckerOptions.from_request``);
 * the verification service (:mod:`repro.service`) carries the request
   verbatim inside its ``repro-service/v1`` protocol -- no second schema.
 
@@ -308,7 +309,6 @@ class CheckRequest:
     bdd_iterations: Optional[int] = None
     bdd_node_limit: Optional[int] = None
     # -- search configuration -----------------------------------------
-    incremental: bool = True
     learning: bool = True
     kb_path: Optional[str] = None
     fsm_guidance: bool = False
@@ -395,7 +395,6 @@ class CheckRequest:
                 "bdd_node_limit": self.bdd_node_limit,
             },
             "search": {
-                "incremental": self.incremental,
                 "learning": self.learning,
                 "kb_path": self.kb_path,
                 "fsm_guidance": self.fsm_guidance,
@@ -411,7 +410,10 @@ class CheckRequest:
         """Rebuild a request; unknown fields anywhere are ignored.
 
         Tolerates same-major newer minors of :data:`REQUEST_SCHEMA` (their
-        additions are skipped); rejects different majors.
+        additions are skipped); rejects different majors.  Retired fields
+        (``search.incremental``, ``search.compiled``,
+        ``search.cube_hit_ordering``) are skipped the same way, so older
+        clients' payloads still parse.
         """
         if not isinstance(payload, Mapping):
             raise RequestError("request payload must be a JSON object")
@@ -460,7 +462,6 @@ class CheckRequest:
             random_cycles=_opt_int(budget.get("random_cycles")),
             bdd_iterations=_opt_int(budget.get("bdd_iterations")),
             bdd_node_limit=_opt_int(budget.get("bdd_node_limit")),
-            incremental=bool(search.get("incremental", True)),
             learning=bool(search.get("learning", True)),
             kb_path=_opt_str(search.get("kb_path")),
             fsm_guidance=bool(search.get("fsm_guidance", False)),
@@ -883,14 +884,17 @@ def run_request(
     force_batch: bool = False,
 ) -> RequestOutcome:
     """Execute a request and return both raw and unified outcomes."""
-    from repro.portfolio.engines import available_engines
+    if tuple(request.engines) != ("atpg",):
+        # "atpg" always exists, so the default engine list needs no check
+        # and the single-engine path never imports the portfolio.
+        from repro.portfolio.engines import available_engines
 
-    for name in request.engines:
-        if name not in available_engines():
-            raise RequestError(
-                "unknown engine %r (available: %s)"
-                % (name, ", ".join(available_engines()))
-            )
+        for name in request.engines:
+            if name not in available_engines():
+                raise RequestError(
+                    "unknown engine %r (available: %s)"
+                    % (name, ", ".join(available_engines()))
+                )
     resolved = resolve_design(request.circuit, design_cache)
     environment = request.build_environment()
     if environment is None:

@@ -50,6 +50,9 @@ class CheckerOptions:
     #: reuse one incrementally extended unrolled model across target frames
     #: and properties (retracting per-bound goals through engine savepoints)
     #: instead of rebuilding the implication network for every bound.
+    #: ``incremental=False`` is the paper's literal re-unroll-per-bound flow,
+    #: kept as the oracle the incremental model is tested and benchmarked
+    #: against; it is not a request field.
     incremental: bool = True
     #: cross-bound search learning: persist conflict-lifted illegal cubes
     #: and proven-FAIL target frames on the cached model, pruning every
@@ -98,13 +101,13 @@ class CheckerOptions:
     def from_request(cls, request) -> "CheckerOptions":
         """Adapter over the unified :class:`repro.api.CheckRequest`.
 
-        The request is the single authoritative knob list; this class no
-        longer duplicates it -- it just maps the shared fields onto the
-        checker's switches.  Duck-typed so :mod:`repro.api` stays the only
-        module that imports across layers.
+        The only code that turns a request into ATPG settings: the
+        single-engine path and the batch path's
+        :class:`~repro.portfolio.engines.AtpgEngine` both start from it.
+        Duck-typed so :mod:`repro.api` stays the only module that imports
+        across layers.
         """
         options = cls(
-            incremental=request.incremental,
             learning=request.learning,
             kb_path=request.kb_path,
             use_local_fsm_guidance=request.fsm_guidance,

@@ -164,7 +164,6 @@ def _request_from_args(args: argparse.Namespace) -> api.CheckRequest:
             time_budget=args.time_budget,
             sim_width=args.sim_width,
             seed=args.seed,
-            incremental=not args.no_incremental,
             learning=not args.no_learning,
             kb_path=_kb_path(args),
             fsm_guidance=args.fsm_guidance,
@@ -670,13 +669,10 @@ def _command_fleet(args: argparse.Namespace) -> int:
             for block in status["endpoints"]:
                 probe = block.get("probe", {})
                 if probe.get("alive"):
-                    detail = "up"
-                    if probe.get("legacy"):
-                        detail += " (legacy, pre-ping protocol)"
-                    elif probe.get("draining"):
+                    if probe.get("draining"):
                         detail = "draining"
                     else:
-                        detail += " pid=%s uptime=%.1fs" % (
+                        detail = "up pid=%s uptime=%.1fs" % (
                             probe.get("pid", "?"),
                             float(probe.get("uptime_seconds", 0.0)))
                 else:
@@ -821,12 +817,6 @@ def _add_check_arguments(parser: argparse.ArgumentParser,
         "instead of racing",
     )
     parser.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="rebuild the unrolled implication network from scratch for "
-        "every bound instead of reusing it incrementally (debug/ablation)",
-    )
-    parser.add_argument(
         "--no-learning",
         action="store_true",
         help="disable cross-bound search learning (persistent illegal-state "
@@ -866,8 +856,9 @@ def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fleet-file",
         metavar="FILE",
-        help="TOML fleet file ([[endpoints]] tables plus an optional "
-        "[fleet] options table)",
+        help='JSON fleet file: an "endpoints" list of {"name", "socket", '
+        '"kb"} objects plus an optional "fleet" options object '
+        '(see docs/service.md)',
     )
     parser.add_argument(
         "--hedge-after",

@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.checker.engine import CheckerOptions
 from repro.checker.result import CheckStatus
 from repro.netlist.circuit import Circuit
 from repro.portfolio.checker import (
@@ -33,7 +34,7 @@ from repro.portfolio.checker import (
     drain_queue,
     fork_context,
 )
-from repro.portfolio.engines import Engine, EngineBudget
+from repro.portfolio.engines import AtpgEngine, Engine, EngineBudget
 from repro.portfolio.result import EngineResult, PortfolioResult
 from repro.properties.environment import Environment
 from repro.properties.spec import Property
@@ -72,46 +73,28 @@ class BatchOptions:
     base_seed: Optional[int] = None
     #: run every engine to completion for cross-engine comparison.
     run_all: bool = False
-    #: incremental unrolled-model reuse in the ATPG engine.  Jobs that share
-    #: one circuit object and land on the same worker also share the cached
-    #: skeleton across properties (monitor logic is absorbed incrementally).
-    incremental: bool = True
-    #: cross-bound search learning in the ATPG engine (illegal cubes and
-    #: proven-FAIL targets persist on the cached models, so grouped jobs
-    #: sharing a circuit also share what earlier properties learned).
-    learning: bool = True
-    #: path of a persistent knowledge base (:mod:`repro.kb`) threaded into
-    #: the ATPG engine: workers open the store read-mostly (one load per
-    #: cached model) and flush learned facts after every circuit group, so
-    #: concurrent batches accumulate into one store (merges commute).
-    kb_path: Optional[str] = None
 
     @classmethod
     def from_request(cls, request) -> "BatchOptions":
         """Adapter over the unified :class:`repro.api.CheckRequest`.
 
-        The request carries the only authoritative knob list; this maps it
-        onto the batch runner's shape, configuring an
-        :class:`~repro.portfolio.engines.AtpgEngine` adapter in place of the
-        bare ``"atpg"`` name when checker-specific knobs (``fsm_guidance``)
-        are set.  Duck-typed to keep layering one-way.
+        Maps only the budgets and the batch shape.  The ATPG settings
+        (learning, knowledge base, FSM guidance) travel on the engine
+        instance: ``"atpg"`` becomes an
+        :class:`~repro.portfolio.engines.AtpgEngine` configured by
+        :meth:`CheckerOptions.from_request`, the one request-to-ATPG
+        mapping.  A knowledge base rides the engine into the workers,
+        which flush learned facts after every circuit group.
         """
-        from repro.portfolio.engines import AtpgEngine, EngineBudget
-
-        configured = tuple(
-            AtpgEngine.from_request(request)
-            if name == "atpg" and request.fsm_guidance
-            else name
+        engines = tuple(
+            AtpgEngine(CheckerOptions.from_request(request)) if name == "atpg" else name
             for name in request.engines
         )
         return cls(
-            engines=configured,
+            engines=engines,
             budget=EngineBudget.from_request(request),
             jobs=request.jobs,
             run_all=request.compare,
-            incremental=request.incremental,
-            learning=request.learning,
-            kb_path=request.kb_path,
         )
 
 
@@ -187,71 +170,14 @@ def _engine_names(engines: Sequence[Union[str, Engine]]) -> List[str]:
     return [e if isinstance(e, str) else e.name for e in engines]
 
 
-def _configure_engines(
-    engines: Sequence[Union[str, Engine]], incremental: bool, learning: bool = True,
-    kb_path: Optional[str] = None,
-) -> Sequence[Union[str, Engine]]:
-    """Materialise per-batch engine configuration (ATPG toggles).
-
-    The batch flags apply to the registry name ``"atpg"`` and to
-    :class:`AtpgEngine` instances that did not pin their own ``incremental``
-    / ``learning`` / ``kb_path`` arguments; an engine constructed with an
-    explicit choice wins.
-    """
-    if incremental and learning and kb_path is None:
-        return engines  # the checker's defaults are already on
-    from repro.portfolio.engines import AtpgEngine
-
-    incremental_override = None if incremental else False
-    learning_override = None if learning else False
-    configured: List[Union[str, Engine]] = []
-    for engine in engines:
-        if engine == "atpg":
-            configured.append(
-                AtpgEngine(
-                    incremental=incremental_override, learning=learning_override,
-                    kb_path=kb_path,
-                )
-            )
-        elif isinstance(engine, AtpgEngine):
-            new_incremental = engine.incremental
-            new_learning = engine.learning
-            new_kb_path = engine.kb_path
-            if not incremental and new_incremental is None:
-                new_incremental = False
-            if not learning and new_learning is None:
-                new_learning = False
-            if kb_path is not None and new_kb_path is None:
-                new_kb_path = kb_path
-            unchanged = (new_incremental, new_learning, new_kb_path) == (
-                engine.incremental, engine.learning, engine.kb_path
-            )
-            if unchanged:
-                configured.append(engine)
-            else:
-                configured.append(
-                    AtpgEngine(
-                        engine.options,
-                        incremental=new_incremental,
-                        learning=new_learning,
-                        kb_path=new_kb_path,
-                    )
-                )
-        else:
-            configured.append(engine)
-    return configured
-
-
 def _run_batch_job(payload: Tuple[int, BatchJob, Sequence[Union[str, Engine]],
-                                  EngineBudget, int, bool, bool, bool,
-                                  Optional[str]]) -> BatchItem:
+                                  EngineBudget, int, bool]) -> BatchItem:
     """Run one job's portfolio (in the worker or inline) and wrap the outcome."""
-    (_index, job, engines, budget, seed, run_all, incremental, learning,
-     kb_path) = payload
+    _index, job, engines, budget, seed, run_all = payload
     try:
         checker = PortfolioChecker(
             job.circuit,
-            engines=_configure_engines(engines, incremental, learning, kb_path),
+            engines=engines,
             environment=job.environment,
             initial_state=job.initial_state,
             options=PortfolioOptions(
@@ -337,9 +263,6 @@ class BatchRunner:
                 options.budget,
                 job.seed if job.seed is not None else base_seed + index,
                 options.run_all,
-                options.incremental,
-                options.learning,
-                options.kb_path,
             )
             for index, job in enumerate(jobs)
         ]

@@ -111,12 +111,8 @@ def _error_result(name: str, started: float, exc: Exception) -> EngineResult:
 class AtpgEngine:
     """Adapter for the paper's word-level ATPG :class:`AssertionChecker`.
 
-    ``incremental`` toggles the shared unrolled-model reuse path (see
-    :mod:`repro.checker.incremental`), ``learning`` the cross-bound search
-    learning riding the cached models, and ``kb_path`` the persistent
-    knowledge base (:mod:`repro.kb`) extending that learning across
-    processes.  Left at ``None`` they defer to the ``options`` object
-    (whose defaults are on / no store); passed explicitly they override it.
+    The instance carries its whole configuration in ``options`` (the
+    checker defaults when omitted); only the bound comes from the budget.
     Consecutive ``run`` calls against the *same circuit object* (the common
     batch shape) reuse the cached skeleton -- and its learned illegal cubes
     -- across properties.
@@ -125,39 +121,13 @@ class AtpgEngine:
     name = "atpg"
     can_prove = True
 
-    def __init__(
-        self,
-        options: Optional[CheckerOptions] = None,
-        incremental: Optional[bool] = None,
-        learning: Optional[bool] = None,
-        kb_path: Optional[str] = None,
-    ):
-        self.options = options
-        self.incremental = incremental
-        self.learning = learning
-        self.kb_path = kb_path
-
-    @classmethod
-    def from_request(cls, request) -> "AtpgEngine":
-        """A fully configured adapter from the unified request type.
-
-        Used when checker-specific request knobs (``fsm_guidance``) cannot
-        ride on a bare registry name.
-        """
-        return cls(CheckerOptions.from_request(request))
+    def __init__(self, options: Optional[CheckerOptions] = None):
+        self.options = options if options is not None else CheckerOptions()
 
     def run(self, circuit, prop, environment, initial_state, budget) -> EngineResult:
         started = time.perf_counter()
         try:
-            options = self.options if self.options is not None else CheckerOptions()
-            overrides = {"max_frames": budget.max_frames}
-            if self.incremental is not None:
-                overrides["incremental"] = self.incremental
-            if self.learning is not None:
-                overrides["learning"] = self.learning
-            if self.kb_path is not None:
-                overrides["kb_path"] = self.kb_path
-            options = replace(options, **overrides)
+            options = replace(self.options, max_frames=budget.max_frames)
             checker = AssertionChecker(
                 circuit,
                 environment=environment,

@@ -46,6 +46,7 @@ and only when the whole chain is exhausted does the in-process fallback
 
 from __future__ import annotations
 
+import json
 import os
 import queue
 import threading
@@ -71,7 +72,7 @@ from repro.service.client import (
 #: ``[name=]socket[;kb=store.sqlite]``) when no ``--endpoint`` flags given.
 ENDPOINTS_ENV = "REPRO_SERVICE_ENDPOINTS"
 
-#: Environment variable naming a TOML fleet file (lowest precedence).
+#: Environment variable naming a JSON fleet file (lowest precedence).
 FLEET_FILE_ENV = "REPRO_FLEET_FILE"
 
 #: Schema tag of the fleet batch report.
@@ -157,104 +158,37 @@ def parse_endpoint_specs(specs: Iterable[str]) -> List[FleetEndpoint]:
     return endpoints
 
 
-def _parse_toml_value(raw: str):
-    raw = raw.strip()
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
-    if raw in ("true", "false"):
-        return raw == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        raise FleetError("unsupported TOML value %r in fleet file" % (raw,))
-
-
-def _parse_fleet_toml(text: str) -> Dict[str, object]:
-    """Parse fleet-file TOML: :mod:`tomllib` when present, else the subset."""
-    try:
-        import tomllib
-    except ModuleNotFoundError:
-        return _parse_fleet_toml_fallback(text)
-    try:
-        return tomllib.loads(text)
-    except tomllib.TOMLDecodeError as exc:
-        raise FleetError("invalid fleet file: %s" % (exc,)) from exc
-
-
-def _parse_fleet_toml_fallback(text: str) -> Dict[str, object]:
-    """Parse the fleet-file TOML subset without :mod:`tomllib`.
-
-    CI still runs Python 3.10 (no ``tomllib``) and new dependencies are
-    off the table, so this understands exactly what fleet files use: a
-    ``[fleet]`` table, ``[[endpoints]]`` array tables, and bare
-    string/int/float/bool scalars.  Python >= 3.11 uses the real parser.
-    """
-    document: Dict[str, object] = {}
-    current: Optional[Dict[str, object]] = None
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[[") and line.endswith("]]"):
-            table = line[2:-2].strip()
-            current = {}
-            document.setdefault(table, [])
-            if not isinstance(document[table], list):
-                raise FleetError(
-                    "fleet file line %d: %r is both a table and an array"
-                    % (lineno, table))
-            document[table].append(current)
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            table = line[1:-1].strip()
-            current = document.setdefault(table, {})
-            if not isinstance(current, dict):
-                raise FleetError(
-                    "fleet file line %d: %r is both a table and an array"
-                    % (lineno, table))
-            continue
-        if "=" not in line:
-            raise FleetError("fleet file line %d: cannot parse %r"
-                             % (lineno, raw_line.strip()))
-        key, _, value = line.partition("=")
-        target = current if current is not None else document
-        target[key.strip()] = _parse_toml_value(value)
-    return document
-
-
 def load_fleet_file(path: str) -> Tuple[List[FleetEndpoint], Dict[str, object]]:
-    """Read a TOML fleet file; returns (endpoints, router options).
+    """Read a JSON fleet file; returns (endpoints, router options).
 
-    Expected shape::
+    Expected shape (``fleet`` and each endpoint's ``name`` / ``kb`` are
+    optional; ``name`` defaults to the socket's basename)::
 
-        [fleet]
-        hedge_after = 2.0        # optional
-        trip_threshold = 3       # optional
-        cooldown = 5.0           # optional
-
-        [[endpoints]]
-        name = "a"
-        socket = "/run/repro/a.sock"
-        kb = "/var/lib/repro/a.sqlite"   # optional
+        {
+          "fleet": {"hedge_after": 2.0, "trip_threshold": 3, "cooldown": 5.0},
+          "endpoints": [
+            {"name": "a", "socket": "/run/repro/a.sock",
+             "kb": "/var/lib/repro/a.sqlite"}
+          ]
+        }
     """
     try:
         with open(path, encoding="utf-8") as stream:
-            text = stream.read()
+            document = json.load(stream)
     except OSError as exc:
         raise FleetError("cannot read fleet file %r: %s" % (path, exc)) from exc
-    document = _parse_fleet_toml(text)
+    except ValueError as exc:
+        raise FleetError("invalid fleet file %r: %s" % (path, exc)) from exc
+    if not isinstance(document, Mapping):
+        raise FleetError("fleet file %r must hold a JSON object" % (path,))
     entries = document.get("endpoints") or []
     if not isinstance(entries, list) or not entries:
-        raise FleetError("fleet file %r defines no [[endpoints]]" % (path,))
+        raise FleetError("fleet file %r defines no endpoints" % (path,))
     endpoints = []
     for entry in entries:
         if not isinstance(entry, Mapping) or not entry.get("socket"):
             raise FleetError(
-                "fleet file %r: every [[endpoints]] needs a 'socket'" % (path,))
+                "fleet file %r: every endpoint needs a 'socket'" % (path,))
         sock = str(entry["socket"])
         base = os.path.basename(sock)
         default_name = base[:-5] if base.endswith(".sock") else base
@@ -269,11 +203,15 @@ def load_fleet_file(path: str) -> Tuple[List[FleetEndpoint], Dict[str, object]]:
     options_block = document.get("fleet")
     options: Dict[str, object] = {}
     if isinstance(options_block, Mapping):
-        for key in ("hedge_after", "cooldown"):
+        for key, kind in (("hedge_after", float), ("cooldown", float),
+                          ("trip_threshold", int)):
             if key in options_block:
-                options[key] = float(options_block[key])
-        if "trip_threshold" in options_block:
-            options["trip_threshold"] = int(options_block["trip_threshold"])
+                try:
+                    options[key] = kind(options_block[key])
+                except (TypeError, ValueError):
+                    raise FleetError(
+                        "fleet file %r: %r must be a number, got %r"
+                        % (path, key, options_block[key])) from None
     return endpoints, options
 
 
@@ -361,12 +299,9 @@ def probe_endpoint(endpoint: FleetEndpoint,
                    connect_timeout: float = PROBE_TIMEOUT) -> Dict[str, object]:
     """One cheap health probe: ``ping`` over a fresh connection.
 
-    Returns a dict with ``alive`` plus, from a v1.1+ daemon, its
-    ``protocol``, ``pid``, ``uptime_seconds`` and ``draining`` flag.  A
-    pre-ping (v1.0) daemon answers ``unknown verb`` -- that still proves a
-    live supervisor on the socket, so it reports alive with
-    ``legacy: true`` instead of failing the probe (same-major tolerance,
-    applied to verbs).
+    Returns a dict with ``alive`` plus the daemon's ``protocol``, ``pid``,
+    ``uptime_seconds`` and ``draining`` flag; any error reply (``unknown
+    verb`` included) is a failed probe.
     """
     # (an armed ``error``-kind rule raises inside maybe_fire already; the
     # passive ``drop-connection`` kind is interpreted here as a dead probe)
@@ -389,11 +324,8 @@ def probe_endpoint(endpoint: FleetEndpoint,
             if key in response:
                 probe[key] = response[key]
         return probe
-    error = str(response.get("error", ""))
-    if "unknown verb" in error:
-        return {"endpoint": endpoint.name, "alive": True, "legacy": True,
-                "draining": False}
-    return {"endpoint": endpoint.name, "alive": False, "error": error}
+    return {"endpoint": endpoint.name, "alive": False,
+            "error": str(response.get("error", ""))}
 
 
 # ----------------------------------------------------------------------

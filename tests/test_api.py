@@ -64,7 +64,6 @@ def full_request() -> api.CheckRequest:
         random_cycles=24,
         bdd_iterations=100,
         bdd_node_limit=50_000,
-        incremental=False,
         learning=False,
         kb_path="/tmp/kb.sqlite",
         fsm_guidance=True,
@@ -106,7 +105,7 @@ class TestRequestRoundTrip:
         request = api.CheckRequest.from_dict(payload)
         assert request == full_request()
         assert set(request.to_dict()["search"]) == {
-            "incremental", "learning", "kb_path", "fsm_guidance",
+            "learning", "kb_path", "fsm_guidance",
         }
         assert CheckerOptions.from_request(request).compiled is True
 
@@ -185,7 +184,7 @@ class TestAdapters:
         request = full_request()
         options = CheckerOptions.from_request(request)
         assert options.max_frames == request.max_frames
-        assert options.incremental is request.incremental
+        assert options.incremental  # the oracle switch is not a request field
         assert options.learning is request.learning
         assert options.kb_path == request.kb_path
         assert options.use_local_fsm_guidance is request.fsm_guidance
@@ -216,19 +215,24 @@ class TestAdapters:
         options = BatchOptions.from_request(request)
         assert options.jobs == request.jobs
         assert options.run_all is request.compare
-        assert options.incremental is request.incremental
-        assert options.learning is request.learning
-        assert options.kb_path == request.kb_path
         assert options.budget == EngineBudget.from_request(request)
-        # fsm_guidance turns the bare "atpg" name into a configured adapter.
+        # "atpg" becomes an adapter carrying the one request-to-ATPG mapping.
         assert isinstance(options.engines[0], AtpgEngine)
+        assert options.engines[0].options == CheckerOptions.from_request(request)
         assert options.engines[0].options.use_local_fsm_guidance
+        assert not options.engines[0].options.learning
+        assert options.engines[0].options.kb_path == request.kb_path
         assert options.engines[1] == "random"
 
     def test_batch_options_plain_engines_without_fsm_guidance(self):
-        request = dataclasses.replace(full_request(), fsm_guidance=False)
+        request = dataclasses.replace(
+            full_request(), fsm_guidance=False, learning=True, kb_path=None
+        )
         options = BatchOptions.from_request(request)
-        assert options.engines == ("atpg", "random")
+        assert options.engines[0].options == CheckerOptions(
+            max_frames=request.max_frames
+        )
+        assert options.engines[1] == "random"
 
 
 # ----------------------------------------------------------------------
@@ -275,6 +279,34 @@ class TestFacade:
         )
         assert report.results[0].engines  # per-engine details present
         assert report.results[0].winner == "atpg"
+
+    def test_check_batch_honours_request_learning(self):
+        def atpg_stats(**knobs):
+            report = api.check_batch(api.build_request(
+                build_counter(), Assertion("ok", Signal("count") != 12),
+                max_frames=6, **knobs))
+            (engine,) = report.results[0].engines
+            assert engine["engine"] == "atpg"
+            return engine["stats"]
+
+        assert atpg_stats()["learning"] is True
+        assert atpg_stats(learning=False)["learning"] is False
+
+    def test_retired_incremental_field_keeps_verdicts(self):
+        """A payload from a client whose request still carried
+        ``search.incremental`` parses, and answers exactly like the same
+        request without the key."""
+        request = api.CheckRequest(circuit=api.CircuitRef.case("p5"))
+        payload = request.to_dict()
+        payload["search"]["incremental"] = False
+        old = api.CheckRequest.from_dict(json.loads(json.dumps(payload)))
+        assert old == request
+
+        def verdicts(req):
+            return [(v.name, v.status, v.frames_explored, v.trace)
+                    for v in api.check(req).results]
+
+        assert verdicts(old) == verdicts(request)
 
     def test_design_cache_reuses_circuit_objects(self):
         cache = {}

@@ -257,7 +257,8 @@ def test_readme_check_flag_table_matches_parser():
         _parse_check(flag, *(["value"] if metavar else []))
 
 
-@pytest.mark.parametrize("flag", ["--no-compiled", "--cube-hit-ordering"])
+@pytest.mark.parametrize("flag", ["--no-compiled", "--cube-hit-ordering",
+                                  "--no-incremental"])
 def test_retired_check_flags_no_longer_parse(flag):
     assert flag not in [flag for flag, _ in _readme_check_flags()]
     with pytest.raises(SystemExit):
@@ -279,3 +280,26 @@ def test_cli_and_client_import_without_the_engine():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == ""
+
+
+def test_default_check_leaves_the_portfolio_unimported():
+    # The single-engine path never needs the portfolio (batch runner,
+    # multiprocessing): only a non-default engine list is checked against
+    # its registry.
+    from repro.circuits import build_case
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        "import sys\n"
+        "from repro import api\n"
+        "report = api.check(api.CheckRequest(circuit=api.CircuitRef.case('p5')))\n"
+        "print(report.results[0].status)\n"
+        "print(','.join(m for m in ('repro.portfolio', 'multiprocessing')\n"
+        "               if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    status, loaded = (proc.stdout.splitlines() + [""])[:2]
+    assert status == build_case("p5").expected_status.value
+    assert loaded == ""

@@ -2,12 +2,11 @@
 
 Five layers:
 
-* configuration -- endpoint specs, the environment, TOML fleet files (and
-  the tomllib-free fallback parser CI's Python 3.10 exercises);
+* configuration -- endpoint specs, the environment and JSON fleet files;
 * rendezvous hashing -- stable scores, fair-ish spread, and the property
   the failover contract rests on: removing an endpoint never reorders the
   survivors (no rehash scatter);
-* health -- ping probes against live / legacy / dead endpoints, and the
+* health -- ping probes against live / dead endpoints, and the
   per-endpoint circuit breaker (trip, cooldown, half-open rejoin);
 * routing -- live multi-daemon fleets: sticky assignment, deterministic
   failover with bit-identical verdicts, draining handoff, the
@@ -20,8 +19,6 @@ Five layers:
 
 import json
 import os
-import socket as socket_module
-import threading
 import time
 
 import pytest
@@ -95,25 +92,17 @@ class TestEndpointConfig:
         endpoints, options = fleet.resolve_endpoints(env={})
         assert endpoints == [] and options == {}
 
-    FLEET_TOML = (
-        "# two shards\n"
-        "[fleet]\n"
-        "hedge_after = 1.5\n"
-        "trip_threshold = 2\n"
-        "cooldown = 0.5\n"
-        "\n"
-        "[[endpoints]]\n"
-        'name = "a"\n'
-        'socket = "/run/a.sock"\n'
-        'kb = "/var/a.sqlite"\n'
-        "\n"
-        "[[endpoints]]\n"
-        'socket = "/run/b.sock"\n'
-    )
+    FLEET_JSON = json.dumps({
+        "fleet": {"hedge_after": 1.5, "trip_threshold": 2, "cooldown": 0.5},
+        "endpoints": [
+            {"name": "a", "socket": "/run/a.sock", "kb": "/var/a.sqlite"},
+            {"socket": "/run/b.sock"},
+        ],
+    })
 
     def test_fleet_file_round_trip(self, tmp_path):
-        path = tmp_path / "fleet.toml"
-        path.write_text(self.FLEET_TOML)
+        path = tmp_path / "fleet.json"
+        path.write_text(self.FLEET_JSON)
         endpoints, options = fleet.load_fleet_file(str(path))
         assert endpoints == [
             fleet.FleetEndpoint("a", "/run/a.sock", "/var/a.sqlite"),
@@ -122,25 +111,46 @@ class TestEndpointConfig:
         assert options == {"hedge_after": 1.5, "trip_threshold": 2,
                            "cooldown": 0.5}
 
-    def test_fallback_parser_matches_tomllib(self):
-        """The 3.10 fallback and tomllib must agree on fleet files."""
-        fallback = fleet._parse_fleet_toml_fallback(self.FLEET_TOML)
-        tomllib = pytest.importorskip("tomllib")
-        assert fallback == tomllib.loads(self.FLEET_TOML)
+    def test_fleet_file_socket_path_may_contain_hash(self, tmp_path):
+        """A '#' is data, not a comment: the file reads the same on every
+        interpreter (the old TOML subset parser cut the path at '#')."""
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(
+            {"endpoints": [{"socket": "/tmp/run#1/a.sock"}],
+             "fleet": {"cooldown": 1000}}))
+        endpoints, options = fleet.load_fleet_file(str(path))
+        assert endpoints == [fleet.FleetEndpoint("a", "/tmp/run#1/a.sock")]
+        assert options == {"cooldown": 1000.0}
 
-    def test_fallback_parser_rejects_garbage(self):
-        with pytest.raises(fleet.FleetError):
-            fleet._parse_fleet_toml_fallback("not toml at all")
+    def test_fleet_file_garbage_rejected(self, tmp_path):
+        path = tmp_path / "fleet.json"
+        for text in ("not json at all", "[1, 2]"):
+            path.write_text(text)
+            with pytest.raises(fleet.FleetError):
+                fleet.load_fleet_file(str(path))
+
+    def test_fleet_file_checks_endpoints_and_options(self, tmp_path):
+        path = tmp_path / "fleet.json"
+        for document in (
+            {"endpoints": [{"name": "a"}]},                      # no socket
+            {"endpoints": [{"name": "a", "socket": "/a.sock"},
+                           {"name": "a", "socket": "/b.sock"}]},  # duplicate
+            {"endpoints": [{"socket": "/a.sock"}],
+             "fleet": {"trip_threshold": "many"}},               # untyped
+        ):
+            path.write_text(json.dumps(document))
+            with pytest.raises(fleet.FleetError):
+                fleet.load_fleet_file(str(path))
 
     def test_fleet_file_without_endpoints_rejected(self, tmp_path):
-        path = tmp_path / "fleet.toml"
-        path.write_text("[fleet]\ncooldown = 1.0\n")
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps({"fleet": {"cooldown": 1.0}}))
         with pytest.raises(fleet.FleetError):
             fleet.load_fleet_file(str(path))
 
     def test_fleet_file_env_is_lowest_precedence(self, tmp_path):
-        path = tmp_path / "fleet.toml"
-        path.write_text(self.FLEET_TOML)
+        path = tmp_path / "fleet.json"
+        path.write_text(self.FLEET_JSON)
         endpoints, _ = fleet.resolve_endpoints(
             env={fleet.FLEET_FILE_ENV: str(path)})
         assert [e.name for e in endpoints] == ["a", "b"]
@@ -195,48 +205,6 @@ class TestRendezvous:
 # ----------------------------------------------------------------------
 # Health probes and the breaker
 # ----------------------------------------------------------------------
-@pytest.fixture
-def legacy_server(tmp_path):
-    """A fake pre-v1.1 daemon: live socket, but ping is an unknown verb."""
-    socket_path = str(tmp_path / "legacy.sock")
-    server = socket_module.socket(socket_module.AF_UNIX,
-                                  socket_module.SOCK_STREAM)
-    server.bind(socket_path)
-    server.listen(4)
-    stop = threading.Event()
-
-    def run():
-        server.settimeout(0.2)
-        while not stop.is_set():
-            try:
-                conn, _ = server.accept()
-            except socket_module.timeout:
-                continue
-            with conn:
-                stream = conn.makefile("rwb")
-                line = stream.readline()
-                if not line:
-                    continue
-                message = protocol.decode(line.rstrip(b"\n"))
-                response = dict(
-                    protocol.error_response(
-                        message.get("verb"),
-                        "unknown verb %r" % (message.get("verb"),)),
-                    schema="repro-service/v1",
-                )
-                stream.write(protocol.encode(response))
-                stream.flush()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    try:
-        yield socket_path
-    finally:
-        stop.set()
-        thread.join(timeout=5.0)
-        server.close()
-
-
 class TestProbes:
     def test_probe_live_daemon(self, tmp_path):
         with running_daemon(tmp_path) as socket_path:
@@ -252,12 +220,25 @@ class TestProbes:
         assert probe["alive"] is False
         assert probe["error"]
 
-    def test_probe_legacy_unknown_verb_is_alive(self, legacy_server):
-        """A v1 daemon that predates ping answers 'unknown verb' -- that is
-        a live supervisor, not a failed probe (same-major tolerance)."""
-        probe = fleet.probe_endpoint(fleet.FleetEndpoint("old", legacy_server))
-        assert probe["alive"] is True
-        assert probe["legacy"] is True
+    def test_probe_error_reply_is_dead(self, monkeypatch):
+        """Any error reply to ping, 'unknown verb' included, fails the probe."""
+        class ErrorClient:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def call(self, verb):
+                return {"ok": False, "error": "unknown verb %r" % (verb,)}
+
+        monkeypatch.setattr(fleet, "ServiceClient", ErrorClient)
+        probe = fleet.probe_endpoint(fleet.FleetEndpoint("old", "/old.sock"))
+        assert probe == {"endpoint": "old", "alive": False,
+                         "error": "unknown verb 'ping'"}
 
     def test_probe_fault_site(self, tmp_path, monkeypatch):
         arm_plan(monkeypatch, tmp_path, "fleet.probe:drop-connection")

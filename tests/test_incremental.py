@@ -298,17 +298,37 @@ def test_crashed_check_does_not_poison_the_cache(monkeypatch):
 
 
 def test_batch_incremental_toggle_covers_engine_instances():
-    from repro.portfolio.batch import _configure_engines
-    from repro.portfolio.engines import AtpgEngine
+    """The fresh-unrolling oracle rides on an engine instance through the
+    batch runner (it is not a request or batch field) and answers exactly
+    like the default incremental engine."""
+    from repro.portfolio import (AtpgEngine, BatchJob, BatchOptions, BatchRunner,
+                                 EngineBudget)
 
-    pinned = AtpgEngine(incremental=True)
-    unpinned = AtpgEngine()
-    configured = _configure_engines(["atpg", pinned, unpinned, "bdd"], incremental=False)
-    assert configured[0].incremental is False       # name rewritten
-    assert configured[1] is pinned                  # explicit choice wins
-    assert configured[2].incremental is False       # unpinned instance follows batch
-    assert configured[3] == "bdd"
-    assert _configure_engines(["atpg"], incremental=True) == ["atpg"]
+    def run(engine):
+        ring = build_token_ring()
+        grants = [Signal(net.name) for net in ring.grants]
+        jobs = [
+            BatchJob("one_hot", ring.circuit, Assertion("one_hot", OneHot(*grants))),
+            BatchJob("first", ring.circuit, Witness("first", grants[0] == 1)),
+        ]
+        report = BatchRunner(
+            BatchOptions(engines=(engine,), budget=EngineBudget(max_frames=4))
+        ).run(jobs)
+        rows = []
+        for item in report.items:
+            (engine_result,) = item.result.engine_results
+            cex = item.result.counterexample
+            rows.append((item.result.status, engine_result.stats["incremental"],
+                         None if cex is None else cex.inputs))
+        return rows
+
+    fresh = run(AtpgEngine(CheckerOptions(incremental=False)))
+    incremental = run(AtpgEngine())
+    assert [row[1] for row in fresh] == [False, False]
+    assert [row[1] for row in incremental] == [True, True]
+    assert [(row[0], row[2]) for row in fresh] == [
+        (row[0], row[2]) for row in incremental
+    ]
 
 
 def test_environment_fingerprint_distinguishes_constraints():

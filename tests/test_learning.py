@@ -521,19 +521,26 @@ def test_cli_exposes_no_learning_flag():
 
 
 def test_batch_learning_toggle_covers_engine_instances():
-    from repro.portfolio.batch import _configure_engines
-    from repro.portfolio.engines import AtpgEngine
+    """A request's learning switch reaches the batch path's ATPG engine
+    instance, the only place the batch keeps ATPG settings."""
+    from repro import api
+    from repro.portfolio import AtpgEngine, BatchJob, BatchOptions, BatchRunner
 
-    pinned = AtpgEngine(learning=True)
-    unpinned = AtpgEngine()
-    configured = _configure_engines(
-        ["atpg", pinned, unpinned, "bdd"], incremental=True, learning=False
-    )
-    assert configured[0].learning is False        # name rewritten
-    assert configured[1] is pinned                # explicit choice wins
-    assert configured[2].learning is False        # unpinned follows batch
-    assert configured[3] == "bdd"
-    assert _configure_engines(["atpg"], incremental=True, learning=True) == ["atpg"]
+    ports = build_token_ring()
+    prop = Witness("first", Signal(ports.grants[0].name) == 1)
+    for learning in (True, False):
+        request = api.build_request(ports.circuit, prop, max_frames=4,
+                                    engines=("atpg", "bdd"), learning=learning)
+        options = BatchOptions.from_request(request)
+        engine = options.engines[0]
+        assert isinstance(engine, AtpgEngine)
+        assert engine.options.learning is learning
+        assert options.engines[1] == "bdd"
+        report = BatchRunner(
+            BatchOptions(engines=(engine,), budget=options.budget)
+        ).run([BatchJob("first", ports.circuit, prop)])
+        (engine_result,) = report.items[0].result.engine_results
+        assert engine_result.stats["learning"] is learning
 
 
 # ----------------------------------------------------------------------
